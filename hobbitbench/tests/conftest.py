@@ -1,0 +1,11 @@
+"""Put the checkout root (for ``hobbitbench``) and ``src`` (for
+``repro``) on the import path."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
