@@ -12,12 +12,15 @@ snapshot (taken in an earlier epoch) goes stale by probe time.
 
 Two probe entry points exist: :meth:`SimulatedInternet.send_probe` (one
 probe) and :meth:`SimulatedInternet.send_probe_batch` (a batch sharing
-one TTL). The batch vectorises every stochastic draw — loss, jitter,
-spikes, default TTLs, reverse-path deltas, host availability — with
-numpy while advancing the clock and nonce exactly as the serial loop
-would, so the two are bit-identical probe for probe (every draw is a
-pure hash of seed and nonce/address; only the sequencing is stateful).
-``REPRO_REFERENCE_ENGINE=1`` forces the serial path everywhere.
+one TTL). Both take their stochastic inputs from one draw source (see
+:mod:`.draws`): per-nonce draws come from a block computed with numpy
+over a run of consecutive nonces, and per-address host facts from a
+memo. The batch additionally vectorises host availability, default TTLs
+and reverse-path deltas. Both advance the clock and nonce exactly as
+the serial loop would, so they are bit-identical probe for probe (every
+draw is a pure hash of seed and nonce/address; only the sequencing is
+stateful). ``REPRO_REFERENCE_ENGINE=1`` forces the serial path
+everywhere and hashes every draw per probe, as the test oracle.
 """
 
 from __future__ import annotations
@@ -35,20 +38,15 @@ from . import hosts as hostmod
 from .allocation import Allocation, Pod
 from .build import BuiltScenario, build_scenario
 from .config import ScenarioConfig
+from .draws import BlockDraws, ScalarDraws
 from .events import EventSchedule, build_event_schedule
 from .geodb import GeoDatabase
 from .groundtruth import GroundTruth
-from .icmp import IcmpReply, ReplyKind, stochastic_loss, stochastic_loss_np
+from .icmp import IcmpReply, ReplyKind
 from .orgs import OrgRegistry
 from .rdns import pattern_label, rdns_name, router_rdns_name
 from .routing import Forwarder, reference_engine_enabled
-from .hosts import promotion_delay_seconds
-from .rtt import (
-    HOST_LATENCY_MS,
-    CellularRadioTracker,
-    path_rtt_ms,
-    rtt_draws_for_nonces,
-)
+from .rtt import CellularRadioTracker
 from .topology import Topology
 from .whois import WhoisService
 
@@ -94,11 +92,15 @@ class SimulatedInternet:
         #: switch (kept small so context resets stay O(touched)).
         self._touched_limiters: set = set()
         self._reference = reference_engine_enabled()
-        # Compiled allocation index (flat sorted intervals) and per-path
-        # propagation prefix sums; both build lazily and rebuild after
-        # unpickling (see __getstate__).
+        #: Where every probe's stochastic draws come from: hashed per
+        #: probe (reference oracle) or nonce blocks plus host memos.
+        self._draws = (
+            ScalarDraws(built) if self._reference
+            else BlockDraws(built, self.forwarder)
+        )
+        # Compiled allocation index (flat sorted intervals); builds
+        # lazily and rebuilds after unpickling (see __getstate__).
         self._alloc_index: Optional[tuple] = None
-        self._prop_cache: Dict[tuple, List[float]] = {}
 
     @classmethod
     def from_config(cls, config: ScenarioConfig) -> "SimulatedInternet":
@@ -109,7 +111,6 @@ class SimulatedInternet:
         # caches rebuild lazily, so don't ship them.
         state = self.__dict__.copy()
         state["_alloc_index"] = None
-        state["_prop_cache"] = {}
         # The compiled campaign engine holds references into this
         # process's compiled forwarding plane; workers rebuild their own.
         state.pop("_fast_engine", None)
@@ -157,6 +158,7 @@ class SimulatedInternet:
         """
         self.clock_seconds = float(clock_seconds)
         self._nonce = int(nonce)
+        self._draws.new_context()
         self._radio.reset()
         for limiter in self._touched_limiters:
             limiter.reset()
@@ -249,11 +251,9 @@ class SimulatedInternet:
                 allowed = router.rate_limiter.allow(self.clock_seconds)
             if not allowed:
                 return None
-        if stochastic_loss(
-            self._built.loss_seed, nonce, self.config.router_loss_probability
-        ):
+        rtt = self._draws.router_rtt(path, ttl, nonce)
+        if rtt is None:
             return None
-        rtt = path_rtt_ms(path[:ttl], self._built.rtt_seed, nonce)
         reply_ttl = max(0, 255 - ttl)
         return IcmpReply(ReplyKind.TTL_EXCEEDED, router.address, reply_ttl, rtt)
 
@@ -268,32 +268,20 @@ class SimulatedInternet:
             if events.outage_active(pod, self.clock_seconds):
                 return None
             availability_key = events.availability_key(pod, dst, epoch)
-        if not hostmod.host_up_in_epoch(
-            self._built.host_seed, availability_key, epoch, pod.host_density,
-            pod.host_stability, pod.sleep_probability,
-        ):
+        draws = self._draws
+        if not draws.host_up(availability_key, epoch, pod):
             return None
-        if stochastic_loss(
-            self._built.loss_seed, nonce, self.config.host_loss_probability
-        ):
+        rtt = draws.host_rtt(path, nonce)
+        if rtt is None:
             return None
-        default = hostmod.default_ttl(
-            self._built.host_seed, dst, self.config.default_ttl_weights,
-            self.config.custom_ttl_probability,
-        )
-        delta = hostmod.reverse_path_delta(
-            self._built.host_seed, dst, self.config.reverse_delta_weights
-        )
+        default, delta = draws.host_ttl_facts(dst)
         reverse_len = max(1, len(path) + delta)
         observed_ttl = max(0, default - reverse_len)
-        rtt = path_rtt_ms(path, self._built.rtt_seed, nonce)
         if pod.cellular and self._radio.promotion_applies(
             dst, self.clock_seconds
         ):
             low, high = pod.promotion_delay_range
-            rtt += 1000.0 * promotion_delay_seconds(
-                self._built.host_seed, dst, low, high
-            )
+            rtt += 1000.0 * draws.promotion_delay(dst, low, high)
         return IcmpReply(ReplyKind.ECHO_REPLY, dst, observed_ttl, rtt)
 
     # -- batched probe primitive ---------------------------------------------
@@ -353,7 +341,6 @@ class SimulatedInternet:
     ) -> List[Optional[IcmpReply]]:
         count = len(dsts)
         config = self.config
-        built = self._built
         # Clock/nonce sequencing, replicated from the serial loop: the
         # clock accumulates per probe (float addition is not
         # associative, so no closed-form base + i*step).
@@ -398,25 +385,16 @@ class SimulatedInternet:
         if not router_probes and not host_probes:
             return replies
 
-        # All per-nonce RTT draws for the batch, vectorised up front
-        # (pure hashes — evaluating draws serial code never reaches is
-        # harmless).
-        nonces = np.arange(
-            base_nonce + 1, base_nonce + count + 1, dtype=np.uint64
-        )
-        jitter, spike_flags, spike_ms = rtt_draws_for_nonces(
-            built.rtt_seed, nonces
-        )
+        # The batch's per-nonce draws, from the shared nonce block:
+        # probe ``index`` reads block index ``offset + index``.
+        draws = self._draws
+        offset = draws.cover(base_nonce + 1, count)
 
         if router_probes:
-            lost = stochastic_loss_np(
-                built.loss_seed,
-                nonces[[index for index, _ in router_probes]],
-                config.router_loss_probability,
-            ).tolist()
+            lost = draws.router_lost
             reply_ttl = max(0, 255 - ttl)
             events = self.events
-            for position, (index, path) in enumerate(router_probes):
+            for index, path in router_probes:
                 router = path[ttl - 1]
                 if not router.responds_to_ttl_exceeded:
                     continue
@@ -433,31 +411,24 @@ class SimulatedInternet:
                         allowed = router.rate_limiter.allow(clocks[index])
                     if not allowed:
                         continue
-                if lost[position]:
+                if lost[offset + index]:
                     continue
-                rtt = (
-                    2.0 * self._propagation_sums(path)[ttl]
-                    + HOST_LATENCY_MS
-                    + jitter[index]
-                )
-                if spike_flags[index]:
-                    rtt += spike_ms[index]
                 replies[index] = IcmpReply(
-                    ReplyKind.TTL_EXCEEDED, router.address, reply_ttl, rtt
+                    ReplyKind.TTL_EXCEEDED, router.address, reply_ttl,
+                    draws.rtt_at(path, ttl, offset + index),
                 )
 
         if host_probes:
             self._host_replies_batch(
-                replies, host_probes, dsts, clocks, nonces,
-                jitter, spike_flags, spike_ms,
+                replies, host_probes, dsts, clocks, offset
             )
         return replies
 
     def _host_replies_batch(
-        self, replies, host_probes, dsts, clocks, nonces,
-        jitter, spike_flags, spike_ms,
+        self, replies, host_probes, dsts, clocks, offset: int
     ) -> None:
         built = self._built
+        draws = self._draws
         config = self.config
         epoch_seconds = config.epoch_seconds
         addrs = np.array(
@@ -505,11 +476,7 @@ class SimulatedInternet:
             ).tolist()
             for position, is_up in zip(members, mask):
                 up[position] = is_up
-        lost = stochastic_loss_np(
-            built.loss_seed,
-            nonces[[index for index, _, _ in host_probes]],
-            config.host_loss_probability,
-        ).tolist()
+        lost = draws.host_lost
         defaults = hostmod.default_ttls_np(
             built.host_seed, addrs, config.default_ttl_weights,
             config.custom_ttl_probability,
@@ -518,45 +485,21 @@ class SimulatedInternet:
             built.host_seed, addrs, config.reverse_delta_weights
         ).tolist()
         for position, (index, allocation, path) in enumerate(host_probes):
-            if not up[position] or lost[position]:
+            if not up[position] or lost[offset + index]:
                 continue
             reverse_len = max(1, len(path) + deltas[position])
             observed_ttl = max(0, defaults[position] - reverse_len)
-            rtt = (
-                2.0 * self._propagation_sums(path)[len(path)]
-                + HOST_LATENCY_MS
-                + jitter[index]
-            )
-            if spike_flags[index]:
-                rtt += spike_ms[index]
+            rtt = draws.rtt_at(path, len(path), offset + index)
             pod = allocation.pod
             dst = dsts[index]
             if pod.cellular and self._radio.promotion_applies(
                 dst, clocks[index]
             ):
                 low, high = pod.promotion_delay_range
-                rtt += 1000.0 * promotion_delay_seconds(
-                    built.host_seed, dst, low, high
-                )
+                rtt += 1000.0 * draws.promotion_delay(dst, low, high)
             replies[index] = IcmpReply(
                 ReplyKind.ECHO_REPLY, dst, observed_ttl, rtt
             )
-
-    def _propagation_sums(self, path: tuple) -> List[float]:
-        """Prefix sums of per-router latency along a path; entry ``k``
-        is the left-to-right sum over ``path[:k]``, so doubling it
-        reproduces :func:`path_rtt_ms`'s propagation term bitwise.
-        Paths are signature-deduplicated tuples, so the cache stays
-        small."""
-        sums = self._prop_cache.get(path)
-        if sums is None:
-            total = 0.0
-            sums = [0.0]
-            for router in path:
-                total = total + router.latency_ms
-                sums.append(total)
-            self._prop_cache[path] = sums
-        return sums
 
     # -- fast host queries (for the ZMap scan and tests) ---------------------
 
@@ -620,7 +563,8 @@ class SimulatedInternet:
         change the forwarder's compiled state, path cache and this
         internet's propagation cache are invalidated, so the object,
         batched and compiled engines all resolve through the shifted
-        FIBs from the next probe on. Campaign executors call this at
+        FIBs from the next probe on (the forwarder's reset also drops
+        its propagation sums). Campaign executors call this at
         campaign entry — the shift lands between the snapshot scan and
         the probing, which is the race being modelled."""
         if self.events is None:
@@ -629,7 +573,6 @@ class SimulatedInternet:
         if changed:
             self.forwarder._reset_compiled_state()
             self.forwarder._path_cache.clear()
-            self._prop_cache.clear()
         return changed
 
     # -- naming -------------------------------------------------------------
@@ -740,4 +683,5 @@ class SimulatedInternet:
             ),
             "probe_batches": self.probe_batches,
             "batched_probes": self.batched_probes,
+            **self._draws.stats(),
         }

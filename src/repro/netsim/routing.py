@@ -25,6 +25,7 @@ trie-walking resolver (the parity tests compare the two bit-for-bit).
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -221,6 +222,8 @@ class Forwarder:
         self._paths_by_sig: Dict[Tuple[int, ...], Tuple[Router, ...]] = {}
         self._flow_cache: Dict[Tuple[int, int, int], Tuple[Router, ...]] = {}
         self._invariant_cache: Dict[Tuple[int, int], Tuple[Router, ...]] = {}
+        #: id(path) → (path, latency prefix sums); see propagation_sums.
+        self._prop_sums: Dict[int, Tuple[Tuple[Router, ...], array]] = {}
 
     # Workers receive pickled internets (parallel campaigns); compiled
     # state and caches rebuild lazily on first use, so ship none of it.
@@ -233,6 +236,7 @@ class Forwarder:
         state["_paths_by_sig"] = {}
         state["_flow_cache"] = {}
         state["_invariant_cache"] = {}
+        state["_prop_sums"] = {}
         return state
 
     def precompile(self) -> None:
@@ -369,11 +373,36 @@ class Forwarder:
             router = self.topology.by_id(next_id)
         raise ForwardingError(f"forwarding loop towards {dst}")
 
+    def propagation_sums(self, path: Tuple[Router, ...]) -> array:
+        """Prefix sums of per-router latency along a resolved path;
+        entry ``k`` is the left-to-right sum over ``path[:k]``, so
+        doubling it reproduces :func:`~.rtt.path_rtt_ms`'s propagation
+        term bitwise.
+
+        Compiled resolution hands out one shared tuple per route
+        signature, so the table is keyed by the tuple's identity rather
+        than by hashing every router on it. Each entry pins its tuple,
+        so the id cannot be recycled while the entry lives, and the
+        table is dropped with the compiled plane and the path caches.
+        The sums are a packed ``array('d')`` (one per distinct route).
+        """
+        entry = self._prop_sums.get(id(path))
+        if entry is None or entry[0] is not path:
+            total = 0.0
+            sums = array("d", [0.0])
+            for router in path:
+                total = total + router.latency_ms
+                sums.append(total)
+            entry = (path, sums)
+            self._prop_sums[id(path)] = entry
+        return entry[1]
+
     def clear_cache(self) -> None:
         self._path_cache.clear()
         self._flow_cache.clear()
         self._invariant_cache.clear()
         self._paths_by_sig.clear()
+        self._prop_sums.clear()
 
     @property
     def cache_size(self) -> int:

@@ -16,7 +16,13 @@ import math
 
 import numpy as np
 
-from ..util.hashing import mix_np, mix_to_unit, stable_string_hash, unit_np
+from ..util.hashing import (
+    mix_np,
+    mix_to_unit,
+    splitmix64_np,
+    stable_string_hash,
+    unit_np,
+)
 from .topology import Router
 
 _JITTER = stable_string_hash("rtt-jitter")
@@ -34,7 +40,13 @@ SPIKE_MAX_MS = 150.0
 def path_rtt_ms(path: Sequence[Router], seed: int, nonce: int) -> float:
     """Base RTT to the end of ``path`` for one probe (before any
     cellular promotion delay)."""
-    propagation = 2.0 * sum(router.latency_ms for router in path)
+    # Left to right, as the engines' per-path prefix sums add: sum()
+    # compensates rounding error on Python >= 3.12, which would make
+    # this oracle disagree with them in the last bit.
+    total = 0.0
+    for router in path:
+        total = total + router.latency_ms
+    propagation = 2.0 * total
     u = mix_to_unit(seed ^ _JITTER, nonce)
     # Inverse-CDF exponential jitter; clamp u away from 1.0.
     jitter = -JITTER_MEAN_MS * math.log(max(1.0 - u, 1e-12))
@@ -52,20 +64,21 @@ def rtt_draws_for_nonces(
 
     Returns ``(jitter_ms, spike_flags, spike_ms)``; a probe's RTT is
     ``propagation + HOST_LATENCY_MS + jitter_ms[i]`` plus
-    ``spike_ms[i]`` when ``spike_flags[i]``. The hash draws run through
+    ``spike_ms[i]`` when ``spike_flags[i]``. The hash draws and the
+    exact float steps (``1 - u``, the clamp, the scaling) run through
     numpy; the log stays scalar because ``np.log`` is not bitwise
     identical to ``math.log`` on every input.
     """
     arr = np.asarray(nonces, dtype=np.uint64)
-    jitter_units = unit_np(mix_np(seed ^ _JITTER, arr)).tolist()
-    jitter = [
-        -JITTER_MEAN_MS * math.log(max(1.0 - u, 1e-12))
-        for u in jitter_units
-    ]
-    spike_flags = (
-        unit_np(mix_np(seed ^ _SPIKE, arr)) < SPIKE_PROBABILITY
+    clamped = np.maximum(1.0 - unit_np(mix_np(seed ^ _JITTER, arr)), 1e-12)
+    logs = np.array(list(map(math.log, clamped.tolist())), dtype=np.float64)
+    jitter = (-JITTER_MEAN_MS * logs).tolist()
+    # mix(seed, nonce, 1) continues mix(seed, nonce): reuse that hash.
+    spike_hash = mix_np(seed ^ _SPIKE, arr)
+    spike_flags = (unit_np(spike_hash) < SPIKE_PROBABILITY).tolist()
+    spike = (
+        SPIKE_MAX_MS * unit_np(splitmix64_np(spike_hash ^ np.uint64(1)))
     ).tolist()
-    spike = (SPIKE_MAX_MS * unit_np(mix_np(seed ^ _SPIKE, arr, 1))).tolist()
     return jitter, spike_flags, spike
 
 

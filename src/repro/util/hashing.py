@@ -61,17 +61,23 @@ def stable_string_hash(text: str, seed: int = 0) -> int:
 import numpy as np  # noqa: E402  (kept below the scalar core it mirrors)
 
 _TO_UNIT = 1.0 / float(1 << 64)
+# splitmix64's constants as numpy scalars, built once: the kernels run
+# on short arrays, where per-call scalar construction is a visible cost.
+_GOLDEN_NP = np.uint64(_GOLDEN)
+_MUL1_NP = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2_NP = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def splitmix64_np(values: "np.ndarray") -> "np.ndarray":
     """:func:`splitmix64` over a uint64 array (bitwise identical)."""
     with np.errstate(over="ignore"):
-        v = (values + np.uint64(_GOLDEN)).astype(np.uint64)
-        v ^= v >> np.uint64(30)
-        v *= np.uint64(0xBF58476D1CE4E5B9)
-        v ^= v >> np.uint64(27)
-        v *= np.uint64(0x94D049BB133111EB)
-        v ^= v >> np.uint64(31)
+        v = (values + _GOLDEN_NP).astype(np.uint64)
+        v ^= v >> _SHIFT30
+        v *= _MUL1_NP
+        v ^= v >> _SHIFT27
+        v *= _MUL2_NP
+        v ^= v >> _SHIFT31
     return v
 
 

@@ -185,3 +185,94 @@ class TestGoldenParity:
             )
         assert internet.probe_count == 0
         assert result.measurements == reference_run.result.measurements
+
+
+class _WorkspaceRun:
+    """Every probe-heavy workspace artifact on the tiny profile, built
+    under one engine: confidence dataset, aggregation with reprobe,
+    path dataset and strict-het, plus the simulator's end state."""
+
+    def __init__(self, reference: bool):
+        import os
+
+        from repro.experiments.common import PROFILES, Workspace
+
+        previous = os.environ.get(REFERENCE_ENGINE_ENV)
+        if reference:
+            os.environ[REFERENCE_ENGINE_ENV] = "1"
+        else:
+            os.environ.pop(REFERENCE_ENGINE_ENV, None)
+        try:
+            workspace = Workspace(
+                PROFILES["tiny"], workers=1, store_path=None,
+                event_intensity=0.0,
+            )
+            assert workspace.internet._reference == reference
+            workspace.ensure_built()
+        finally:
+            if previous is None:
+                os.environ.pop(REFERENCE_ENGINE_ENV, None)
+            else:
+                os.environ[REFERENCE_ENGINE_ENV] = previous
+        internet = workspace.internet
+        self.workspace = workspace
+        self.probe_count = internet.probe_count
+        self.clock_seconds = internet.clock_seconds
+        self.nonce = internet._nonce
+        self.stats = internet.stats()
+
+
+@pytest.fixture(scope="module")
+def workspace_runs():
+    return _WorkspaceRun(True), _WorkspaceRun(False)
+
+
+class TestWorkspaceParity:
+    """The scalar probe path (Paris traceroute/MDA, exhaustive and
+    reprobe sessions) must match the reference oracle on every artifact
+    it feeds, not only on the campaign."""
+
+    def test_engines_differ_in_draw_source(self, workspace_runs):
+        reference, production = workspace_runs
+        assert reference.stats["draw_block_fills"] == 0
+        assert production.stats["draw_block_fills"] > 0
+
+    def test_confidence_dataset_identical(self, workspace_runs):
+        reference, production = workspace_runs
+        slow = reference.workspace.confidence_dataset
+        fast = production.workspace.confidence_dataset
+        assert slow
+        assert list(fast) == list(slow)
+        assert fast == slow
+
+    def test_aggregation_with_reprobe_identical(self, workspace_runs):
+        reference, production = workspace_runs
+        slow = reference.workspace.aggregation
+        fast = production.workspace.aggregation
+        assert slow.reprobe_probes_used > 0
+        assert fast.reprobe_probes_used == slow.reprobe_probes_used
+        assert fast.reprobe_records == slow.reprobe_records
+        assert fast.validations == slow.validations
+        assert fast.rule_matches == slow.rule_matches
+        assert fast.final_blocks == slow.final_blocks
+
+    def test_path_dataset_identical(self, workspace_runs):
+        reference, production = workspace_runs
+        slow = reference.workspace.path_dataset
+        fast = production.workspace.path_dataset
+        assert slow
+        assert list(fast) == list(slow)
+        assert fast == slow
+
+    def test_strict_het_identical(self, workspace_runs):
+        reference, production = workspace_runs
+        slow = reference.workspace.strict_het_analyses
+        fast = production.workspace.strict_het_analyses
+        assert list(fast) == list(slow)
+        assert fast == slow
+
+    def test_simulator_end_state_identical(self, workspace_runs):
+        reference, production = workspace_runs
+        assert production.probe_count == reference.probe_count
+        assert production.clock_seconds == reference.clock_seconds
+        assert production.nonce == reference.nonce

@@ -7,6 +7,8 @@ vectorised stochastic draws, and the batched probe API. The end-to-end
 campaign-level parity check lives in ``tests/core/test_engine_parity.py``.
 """
 
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -16,6 +18,8 @@ from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.netsim import SimulatedInternet, tiny_scenario
 from repro.netsim import hosts as hostmod
+from repro.netsim.config import EventConfig
+from repro.netsim.draws import DRAW_BLOCK_NONCES
 from repro.netsim.icmp import stochastic_loss, stochastic_loss_np
 from repro.netsim.internet import MIN_VECTOR_BATCH
 from repro.netsim.routing import Forwarder
@@ -258,7 +262,7 @@ class TestNumpyDrawParity:
         path = net.forwarder.resolve_path(
             net.vantage_address, net.universe_slash24s[0].first, 0, 1
         )
-        propagation = 2.0 * sum(router.latency_ms for router in path)
+        propagation = 2.0 * net.forwarder.propagation_sums(path)[len(path)]
         nonces = list(range(1, 1001))
         jitter, flags, spike = rtt_draws_for_nonces(seed, nonces)
         assert any(flags)  # 1000 draws at 1% spike probability
@@ -369,3 +373,237 @@ class TestSendProbeBatch:
         assert stats["probe_us_avg"] > 0.0
         assert stats["forwarder_cache_hits"] >= 0
         assert 0.0 <= stats["forwarder_cache_hit_rate"] <= 1.0
+
+
+# -- layer 5: nonce-block draws and host memos in the scalar path --------------
+
+
+def _pair(monkeypatch, config=None):
+    """(production, reference) internets over the same scenario."""
+    config = config or tiny_scenario(seed=SEED)
+    monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
+    reference = SimulatedInternet.from_config(config)
+    monkeypatch.delenv("REPRO_REFERENCE_ENGINE")
+    return SimulatedInternet.from_config(config), reference
+
+
+def _targets(net, slash24s=6, per_slash24=4):
+    """Active hosts spread over the universe."""
+    universe = net.universe_slash24s
+    stride = max(1, len(universe) // slash24s)
+    dsts = []
+    for slash24 in universe[::stride][:slash24s]:
+        dsts.extend(net.active_addresses_in_slash24(slash24)[:per_slash24])
+    return dsts
+
+
+def _trace(net, dsts, ttls=range(1, 12), flows=(0, 1, 2)):
+    """A scalar Paris-traceroute-shaped stream over every (dst, flow,
+    ttl): router replies for short TTLs, echo replies past the path."""
+    return [
+        net.send_probe(dst, ttl, flow)
+        for dst in dsts for flow in flows for ttl in ttls
+    ]
+
+
+class TestDrawBlocks:
+    """Scalar ``send_probe`` streams through the nonce-block draws and
+    host memos must equal the reference engine's per-probe hashes."""
+
+    def _assert_same(self, fast_net, slow_net, fast, slow):
+        _replies_equal(fast, slow)
+        assert any(reply is not None and reply.is_echo for reply in slow)
+        assert any(
+            reply is not None and not reply.is_echo for reply in slow
+        )
+        assert fast_net.clock_seconds == slow_net.clock_seconds
+        assert fast_net.probe_count == slow_net.probe_count
+        assert fast_net._nonce == slow_net._nonce
+
+    def test_stream_crosses_block_boundaries(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        dsts = _targets(fast_net)
+        fast, slow = _trace(fast_net, dsts), _trace(slow_net, dsts)
+        assert len(fast) > 2 * DRAW_BLOCK_NONCES
+        self._assert_same(fast_net, slow_net, fast, slow)
+        assert fast_net.stats()["draw_block_fills"] == -(
+            -len(fast) // DRAW_BLOCK_NONCES
+        )
+
+    def test_context_moves_nonce_backwards_mid_block(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        dsts = _targets(fast_net, slash24s=3, per_slash24=1)
+
+        def run(net):
+            net.begin_measurement_context(100.0, 5000)
+            replies = _trace(net, dsts[:2], ttls=range(1, 11))
+            # Back to an earlier nonce inside the same block, and to an
+            # earlier clock: the block stays, the host memo is cleared.
+            net.begin_measurement_context(40.0, 5010)
+            return replies + _trace(net, dsts, ttls=range(1, 11))
+
+        fast, slow = run(fast_net), run(slow_net)
+        # Both contexts' nonces lie inside the first block.
+        assert fast_net._nonce < 5000 + DRAW_BLOCK_NONCES
+        self._assert_same(fast_net, slow_net, fast, slow)
+        assert fast_net.stats()["draw_block_fills"] == 1
+
+    def test_nonce_written_directly_between_probes(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        dsts = _targets(fast_net, slash24s=3, per_slash24=2)
+
+        def run(net):
+            # The compiled campaign engine commits nonce and clock by
+            # assignment, without a context switch.
+            replies = _trace(net, dsts[:2])
+            net._nonce = 10 ** 9
+            net.clock_seconds += 7.5
+            replies += _trace(net, dsts[2:4])
+            net._nonce = 40
+            replies += _trace(net, dsts[4:])
+            return replies
+
+        fast, slow = run(fast_net), run(slow_net)
+        self._assert_same(fast_net, slow_net, fast, slow)
+        assert fast_net.stats()["draw_block_fills"] >= 3
+
+    def test_events_at_intensity(self, monkeypatch):
+        config = dataclasses.replace(
+            tiny_scenario(seed=SEED), events=EventConfig.at_intensity(0.6)
+        )
+        fast_net, slow_net = _pair(monkeypatch, config)
+        # Sweeping for targets counts renumbered keys too: sweep both.
+        dsts = _targets(fast_net, slash24s=40, per_slash24=1)
+        assert dsts == _targets(slow_net, slash24s=40, per_slash24=1)
+
+        def run(net):
+            net.apply_event_reroutes()
+            replies = []
+            for context in range(6):
+                net.begin_measurement_context(
+                    context * 1800.0 + 3.0, 1000 * context + 1
+                )
+                replies += _trace(net, dsts, flows=(0,))
+            return replies
+
+        fast, slow = run(fast_net), run(slow_net)
+        self._assert_same(fast_net, slow_net, fast, slow)
+        assert fast_net.events.counters == slow_net.events.counters
+        for name in ("storm", "outage", "renumber", "reroute"):
+            assert slow_net.events.counters[name] > 0, name
+
+    def test_host_memo_within_context_spans_epochs(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        dsts = _targets(fast_net, slash24s=12, per_slash24=3)
+
+        def run(net):
+            replies = []
+            for _ in range(6):
+                replies += [net.send_probe(dst, 64, 0) for dst in dsts]
+                replies.append(net.send_probe(dsts[0], 2, 0))
+                net.advance_clock(net.config.epoch_seconds)
+            return replies
+
+        fast, slow = run(fast_net), run(slow_net)
+        self._assert_same(fast_net, slow_net, fast, slow)
+        # Availability really changed between epochs for some host.
+        per_epoch = len(dsts) + 1
+        answered = [
+            tuple(reply is not None for reply in slow[at:at + len(dsts)])
+            for at in range(0, len(slow), per_epoch)
+        ]
+        assert len(set(answered)) > 1
+
+    def test_cellular_radio_promotion(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        pod = next(pod for pod in fast_net.pods if pod.cellular)
+        hosts = [
+            addr
+            for slash24 in fast_net.universe_slash24s
+            if fast_net.allocations.pod_of(slash24.first) is pod
+            for addr in fast_net.active_addresses_in_slash24(slash24)[:2]
+        ][:8]
+        assert hosts
+
+        def run(net):
+            replies = []
+            # Idle gaps above and below the radio's idle timeout.
+            for gap in (0.0, 2.0, 30.0, 1.0, 12.0):
+                net.advance_clock(gap)
+                for dst in hosts:
+                    replies.append(net.send_probe(dst, 64, 0))
+                    replies.append(net.send_probe(dst, 3, 0))
+            return replies
+
+        fast, slow = run(fast_net), run(slow_net)
+        self._assert_same(fast_net, slow_net, fast, slow)
+        low = pod.promotion_delay_range[0] * 1000.0
+        promoted = [
+            reply for reply in slow
+            if reply is not None and reply.is_echo and reply.rtt_ms > low
+        ]
+        assert promoted
+
+    def test_nonce_near_two_to_the_64(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        dsts = _targets(fast_net, slash24s=8, per_slash24=2)
+        batch_dsts = [addr for dst in dsts for addr in (dst, dst + 1)]
+
+        def run(net):
+            net.begin_measurement_context(0.0, (1 << 64) - 100)
+            replies = _trace(net, dsts)
+            # The scalar stream ran past 2**64 across block refills...
+            assert net._nonce > (1 << 64) + DRAW_BLOCK_NONCES
+            net.begin_measurement_context(0.0, (1 << 64) - 5)
+            # ...and so does a batch.
+            return replies + net.send_probe_batch(batch_dsts, 64)
+
+        fast, slow = run(fast_net), run(slow_net)
+        assert fast_net._nonce > 1 << 64
+        self._assert_same(fast_net, slow_net, fast, slow)
+
+    def test_memos_clear_at_their_cap(self, monkeypatch):
+        from repro.netsim import draws
+
+        fast_net, slow_net = _pair(monkeypatch)
+        monkeypatch.setattr(draws, "MEMO_MAX_ENTRIES", 4)
+        dsts = _targets(fast_net, slash24s=6, per_slash24=2)
+        fast, slow = _trace(fast_net, dsts), _trace(slow_net, dsts)
+        self._assert_same(fast_net, slow_net, fast, slow)
+        assert 0 < len(fast_net._draws._ttl_facts) <= 4
+        assert 0 < len(fast_net._draws._up) <= 4
+
+    def test_pickle_drops_block_and_memos(self):
+        net = _fresh()
+        dsts = _targets(net, slash24s=2, per_slash24=2)
+        _trace(net, dsts[:2])
+        draws = net._draws
+        assert draws.size and draws.jitter and draws._ttl_facts
+        clone = pickle.loads(pickle.dumps(net))
+        copied = clone._draws
+        assert copied.size == 0 and copied.high == 0
+        assert not copied.router_lost and not copied.jitter
+        assert not copied._up and not copied._ttl_facts
+        assert not copied._promotion
+        assert not clone.forwarder._prop_sums
+        # ...and the clone carries on exactly like the original.
+        _replies_equal(_trace(clone, dsts[2:]), _trace(net, dsts[2:]))
+
+    def test_stats_report_draw_blocks(self, monkeypatch):
+        fast_net, slow_net = _pair(monkeypatch)
+        dsts = _targets(fast_net, slash24s=2, per_slash24=2)
+        _trace(fast_net, dsts)
+        _trace(slow_net, dsts)
+        stats = fast_net.stats()
+        assert stats["draw_block_fills"] >= 1
+        assert 0.0 < stats["draw_block_used_share"] <= 1.0
+        assert slow_net.stats()["draw_block_fills"] == 0
+        assert slow_net.stats()["draw_block_used_share"] == 0.0
+        # Short contexts leave most of each block unread.
+        fast_net.begin_measurement_context(0.0, 10)
+        fast_net.send_probe(dsts[0], 64)
+        fast_net.begin_measurement_context(0.0, 10 ** 6)
+        fast_net.send_probe(dsts[0], 64)
+        assert fast_net.stats()["draw_block_used_share"] < (
+            stats["draw_block_used_share"]
+        )
