@@ -7,8 +7,10 @@ every draw per probe) and once under the compiled forwarding plane:
 * ``sweep`` — full-/24 echo sweeps (batched);
 * ``mda_fanout`` — MDA-style per-destination flow fan-out (batched);
 * ``paris_mda`` — serial Paris-traceroute MDA path enumeration
-  (``enumerate_paths``, as the path dataset runs it), which goes through
-  the scalar ``send_probe`` path with nonce-block draws.
+  (``enumerate_paths``), which goes through the scalar ``send_probe``
+  path with nonce-block draws. A third column runs the same workload
+  on the compiled route kernel (``enumerate_routes``, as the path
+  dataset runs it), which returns only the route sets.
 
 Emits a machine-readable summary (``BENCH_probe_engine.json`` by
 default) with the µs/probe figures, the speedups, and the forwarder
@@ -16,7 +18,8 @@ cache hit rate; CI runs this as the probe-engine bench smoke.
 
 Both engines send bit-identical probe sequences (asserted via the final
 probe counter and a digest of every reply), so the comparison is pure
-engine overhead.
+engine overhead. The route kernel builds no replies; it must match the
+probe count and the digest of every discovered route set.
 
 Usage::
 
@@ -72,7 +75,7 @@ def _run_sweep(internet, slash24_count):
     started = time.perf_counter()
     for slash24 in slash24s:
         replies.extend(internet.send_probe_batch(list(slash24), 64))
-    return time.perf_counter() - started, _digest(replies)
+    return time.perf_counter() - started, {"replies": _digest(replies)}
 
 
 def _run_mda_fanout(internet, dst_count, flows):
@@ -88,14 +91,24 @@ def _run_mda_fanout(internet, dst_count, flows):
             replies.extend(
                 internet.send_probe_batch([dst] * flows, ttl, flow_ids)
             )
-    return time.perf_counter() - started, _digest(replies)
+    return time.perf_counter() - started, {"replies": _digest(replies)}
 
 
-def _run_paris_mda(internet, slash24_count, addresses):
-    """Serial Paris-traceroute MDA (``enumerate_paths``) towards up to
-    ``addresses`` active hosts in each of ``slash24_count`` /24s spread
-    over the universe — the path dataset's probe shape. Every probe
-    goes through the scalar ``send_probe`` path."""
+def _route_digest(route_sets):
+    """Digest of each destination's discovered route set."""
+    digest = hashlib.sha256()
+    for routes in route_sets:
+        digest.update(f"{sorted(routes, key=repr)!r};".encode())
+    return digest.hexdigest()
+
+
+def _run_paris_mda(internet, slash24_count, addresses, kernel=False):
+    """Serial Paris-traceroute MDA towards up to ``addresses`` active
+    hosts in each of ``slash24_count`` /24s spread over the universe —
+    the path dataset's probe shape. Every probe goes through the scalar
+    ``send_probe`` path (``enumerate_paths``), or through the compiled
+    route kernel with ``kernel``."""
+    from repro.core.fastengine import enumerate_routes
     from repro.probing import Prober
     from repro.probing.mda import enumerate_paths
 
@@ -107,6 +120,14 @@ def _run_paris_mda(internet, slash24_count, addresses):
         for dst in internet.active_addresses_in_slash24(slash24)[:addresses]
     ]
     prober = Prober(internet)
+    if kernel:
+        started = time.perf_counter()
+        route_sets = [
+            enumerate_routes(prober, dst, flow_seed=dst & 0xFFFF)
+            for dst in dsts
+        ]
+        elapsed = time.perf_counter() - started
+        return elapsed, {"routes": _route_digest(route_sets)}
     results = []
     started = time.perf_counter()
     for dst in dsts:
@@ -120,15 +141,18 @@ def _run_paris_mda(internet, slash24_count, addresses):
                     f"{trace.flow_id},{hop.ttl},{hop.address},"
                     f"{hop.rtt_ms!r};".encode()
                 )
-    return elapsed, digest.hexdigest()
+    return elapsed, {
+        "replies": digest.hexdigest(),
+        "routes": _route_digest(result.routes for result in results),
+    }
 
 
 def _measure(workload, reference, seed, **kwargs):
     internet = _build_internet(reference, seed)
-    elapsed, digest = workload(internet, **kwargs)
+    elapsed, digests = workload(internet, **kwargs)
     return {
         "elapsed_seconds": elapsed,
-        "digest": digest,
+        "digests": digests,
         "probes": internet.probe_count,
         "us_per_probe": 1e6 * elapsed / internet.probe_count,
         "stats": internet.stats(),
@@ -156,7 +180,7 @@ def run(slash24s, mda_dsts, flows, seed):
         # the exact same probes and seen the exact same replies, or the
         # timing is meaningless.
         assert reference["probes"] == compiled["probes"], name
-        assert reference["digest"] == compiled["digest"], name
+        assert reference["digests"] == compiled["digests"], name
         results[name] = {
             "probes": compiled["probes"],
             "reference_us_per_probe": round(
@@ -171,8 +195,25 @@ def run(slash24s, mda_dsts, flows, seed):
             ),
             "batched_probes": compiled["stats"]["batched_probes"],
             "draw_block_fills": compiled["stats"]["draw_block_fills"],
-            "reply_digest": compiled["digest"],
+            "reply_digest": compiled["digests"]["replies"],
         }
+        if workload is _run_paris_mda:
+            kernel = _measure(workload, False, seed, kernel=True, **kwargs)
+            # The route kernel sends the same probes and finds the same
+            # route sets; it builds no replies to digest.
+            assert kernel["probes"] == compiled["probes"], name
+            assert kernel["digests"]["routes"] == (
+                compiled["digests"]["routes"]
+            ), name
+            results[name].update({
+                "route_kernel_us_per_probe": round(
+                    kernel["us_per_probe"], 3
+                ),
+                "route_kernel_speedup": round(
+                    compiled["us_per_probe"] / kernel["us_per_probe"], 3
+                ),
+                "route_digest": kernel["digests"]["routes"],
+            })
     return {
         "benchmark": "probe_engine",
         "scenario": "tiny",
@@ -196,11 +237,17 @@ def main(argv=None):
         handle.write(rendered + "\n")
     print(rendered)
     for name, workload in document["workloads"].items():
+        kernel = ""
+        if "route_kernel_us_per_probe" in workload:
+            kernel = (
+                f" -> {workload['route_kernel_us_per_probe']} us/probe "
+                f"route kernel ({workload['route_kernel_speedup']}x)"
+            )
         print(
             f"{name}: {workload['reference_us_per_probe']} -> "
             f"{workload['compiled_us_per_probe']} us/probe "
             f"({workload['speedup']}x, cache hit rate "
-            f"{workload['forwarder_cache_hit_rate']})"
+            f"{workload['forwarder_cache_hit_rate']}){kernel}"
         )
 
 

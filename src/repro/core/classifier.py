@@ -96,7 +96,31 @@ def measure_slash24(
     ``snapshot_active`` is the ZMap-snapshot active list (possibly stale
     by probe time). Destinations that no longer answer echo probes do
     not count as probed addresses.
+
+    This is the one place that picks the probe engine: the compiled
+    engine (:mod:`repro.core.fastengine`) when the session is eligible,
+    else the :class:`Prober` walk below. Both leave the measurement,
+    ``prober.stats``, ``rng`` and the simulator in the same state.
     """
+    from .fastengine import (
+        FastPathUnsupported,
+        fast_engine_for,
+        note_fastpath_fallback,
+    )
+
+    engine = fast_engine_for(prober, policy)
+    if engine is not None:
+        try:
+            measurement, stats = engine.measure(
+                policy, slash24, snapshot_active, rng, max_destinations,
+                prober.source,
+            )
+        except FastPathUnsupported as unsupported:
+            note_fastpath_fallback(str(slash24), unsupported)
+        else:
+            prober.stats.merge(stats)
+            return measurement
+
     result = Slash24Measurement(slash24=slash24, category=Category.TOO_FEW_ACTIVE)
     if not meets_selection_criteria(snapshot_active):
         return result

@@ -1,14 +1,17 @@
-"""Compiled per-/24 campaign engine: route templates + incremental rules.
+"""Compiled probe engine: route templates for every probe-heavy phase.
 
-The campaign hot path measures each /24 with a long serial probe
-sequence (echo, locate ladder, last-hop enumeration) whose *replies*
-depend on only a handful of facts per probe: which router sits at the
-probed TTL (or that the TTL overshoots the path), whether that router
-responds and has rate-limiter tokens, one stochastic-loss draw, and —
-for host probes — the destination's availability in the current epoch
-plus two per-address constants (default TTL, reverse-path delta). RTT
-values and the cellular radio tracker never influence what the
-classifier observes, so the engine skips them entirely.
+Every probe-heavy phase of the pipeline is one of two shapes. The
+per-/24 last-hop sessions (campaign, exhaustive confidence dataset,
+reprobe, strict-het) send a long serial sequence of echo, locate-ladder
+and last-hop enumeration probes; the full-path dataset runs Paris
+traceroute MDA (:func:`~repro.probing.mda.enumerate_paths`). In both,
+a probe's *reply* depends on only a handful of facts: which router sits
+at the probed TTL (or that the TTL overshoots the path), whether that
+router responds and has rate-limiter tokens, one stochastic-loss draw,
+and — for host probes — the destination's availability in the current
+epoch plus two per-address constants (default TTL, reverse-path delta).
+RTT values never influence what the classifier or the route set
+observes, so the engine skips them entirely.
 
 This module exploits that: for each /24 it flattens the compiled
 forwarding plane into a **route template** — one slot per path position,
@@ -17,20 +20,30 @@ invariant that every branch of a choice has an identical continuation
 (true of the builder's diamond topologies; violations fall back to the
 object path). A probe at TTL *t* then needs at most one splitmix64
 evaluation (the slot at position ``t-1``) instead of a full
-``resolve_path`` walk plus reply-object construction.
+``resolve_path`` walk plus reply-object construction. The route kernel
+(:meth:`FastCampaignEngine.trace_routes`) goes one step further and
+resolves each per-flow slot once per trace.
 
 Parity contract: for every supported policy the engine's measurement
 (observations, category, stop reason, ``probes_used``), its
-:class:`~repro.probing.session.ProbeStats`, and the simulator end state
-(``probe_count``, clock, nonce) are bit-identical to the object path
+:class:`~repro.probing.session.ProbeStats`, and the simulator state it
+leaves (``probe_count``, clock, nonce, rate-limiter buckets, cellular
+radio tracker, the caller's RNG) are bit-identical to the object path
 (:func:`repro.core.classifier.measure_slash24` through a
-:class:`~repro.probing.session.Prober`). The golden suite in
-``tests/core/test_columnar_parity.py`` enforces this on whole campaigns.
+:class:`~repro.probing.session.Prober`); the route kernel's route set
+equals :func:`~repro.probing.mda.enumerate_paths`'. The golden suites
+``tests/core/test_columnar_campaign.py`` (whole campaigns) and
+``tests/core/test_engine_parity.py`` (every workspace phase) enforce
+this.
 
-Engine state that probes would normally mutate on the simulator — rate
-limiter buckets, the clock, the nonce — is mirrored locally and only
-committed to the simulator when the /24 completes, which keeps a
-fallback mid-/24 side-effect free.
+A session may start at any point of a probe stream, not only at a
+measurement-context boundary. Simulator state that probes would mutate
+— rate-limiter buckets, the radio tracker, the clock, the nonce — is
+mirrored locally (limiter mirrors start from the live buckets) and only
+committed when the /24 or trace completes. A :class:`FastPathUnsupported`
+raised mid-/24 therefore leaves the simulator untouched and the
+caller's RNG restored, and the object path continues from the same
+point.
 """
 
 from __future__ import annotations
@@ -40,17 +53,25 @@ import os
 import random
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from ..net.addr import format_address
 from ..netsim import hosts as hostmod
+from ..netsim.draws import loss_flags, nonce_run
 from ..netsim.loadbalance import (
     HybridBalancer,
     PerDestinationBalancer,
     PerFlowBalancer,
     PerPacketBalancer,
 )
-from ..probing.session import ProbeStats
+from ..obs.metrics import current_metrics
+from ..obs.trace import trace_warning
+from ..probing.mda import DEFAULT_MAX_TTL as _MAX_TTL
+from ..probing.mda import enumerate_paths
+from ..probing.session import ECHO_TTL as _ECHO_TTL
+from ..probing.session import Prober, ProbeStats
 from ..probing.stopping import DEFAULT_CONFIDENCE, probes_required
+from ..probing.traceroute import Route
 from ..util.hashing import MASK64, splitmix64
 from .classifier import (
     Category,
@@ -71,13 +92,12 @@ from .termination import (
 #: where requested) or ``object`` (the per-object reference path).
 CAMPAIGN_ENGINE_ENV = "REPRO_CAMPAIGN_ENGINE"
 
-#: Echo probes use this TTL (mirrors ``repro.probing.session.ECHO_TTL``;
-#: duplicated to avoid importing the Prober module on the hot path).
-_ECHO_TTL = 64
-#: The locate ladder's TTL ceiling (``repro.probing.mda.DEFAULT_MAX_TTL``).
-_MAX_TTL = 32
-
-_TWO64 = float(1 << 64)
+#: ``enumerate_paths``' default cap on flows per destination.
+_MAX_FLOWS = 64
+#: Nonces per loss run: the first after a jump, and the cap on the
+#: doubling of a continuing stream's runs.
+_LOSS_RUN_MIN = 64
+_LOSS_RUN_MAX = 4096
 
 # Slot kinds after per-destination specialization.
 _FIXED = 0     # (0, (responds, limiter, address))
@@ -93,8 +113,9 @@ _T_PER_PACKET = 4
 
 
 class FastPathUnsupported(Exception):
-    """The compiled campaign engine cannot measure this /24; the caller
-    must fall back to the object path (no simulator state was touched)."""
+    """The compiled engine cannot replay this /24 or trace; the caller
+    falls back to the object path from the same point (no simulator
+    state was touched and the caller's RNG is restored)."""
 
 
 def campaign_engine_name() -> str:
@@ -105,28 +126,35 @@ def campaign_engine_name() -> str:
     return "columnar"
 
 
-def fast_engine_for(internet, policy, max_probes) -> Optional["FastCampaignEngine"]:
-    """The engine for this (internet, policy) if eligible, else None.
+def fast_engine_for(
+    prober: Prober, policy=None
+) -> Optional["FastCampaignEngine"]:
+    """The compiled engine for this probe session if eligible, else None.
 
-    Eligibility is deliberately narrow: the exact policy types the
-    engine replicates (subclasses may override hooks the engine inlines),
+    ``policy`` is the termination policy of a last-hop session; leave
+    it None to ask for the route kernel. Eligibility is deliberately
+    narrow: a plain :class:`Prober` (subclasses may override ``probe``),
     no probe budget (budget accounting must raise mid-/24 at the exact
-    probe, which only the Prober path does), and a compiled forwarding
-    plane (``REPRO_REFERENCE_ENGINE=1`` pins the reference everything).
+    probe, which only the Prober path does), the exact policy types the
+    engine replicates (subclasses may override hooks the engine
+    inlines), and a compiled forwarding plane
+    (``REPRO_REFERENCE_ENGINE=1`` pins the reference everything).
     """
-    if max_probes is not None:
+    if type(prober) is not Prober or prober.max_probes is not None:
         return None
     if campaign_engine_name() == "object":
         return None
+    internet = prober.internet
     if internet._reference or not internet.forwarder.compiled_enabled:
         return None
-    kind = type(policy)
-    if kind is TerminationPolicy:
-        table = policy.confidence_table
-        if table is not None and type(table) is not ConfidenceTable:
+    if policy is not None:
+        kind = type(policy)
+        if kind is TerminationPolicy:
+            table = policy.confidence_table
+            if table is not None and type(table) is not ConfidenceTable:
+                return None
+        elif kind not in (ReprobePolicy, ExhaustivePolicy):
             return None
-    elif kind not in (ReprobePolicy, ExhaustivePolicy):
-        return None
     engine = getattr(internet, "_fast_engine", None)
     if engine is None or not engine.valid():
         engine = FastCampaignEngine(internet)
@@ -134,32 +162,72 @@ def fast_engine_for(internet, policy, max_probes) -> Optional["FastCampaignEngin
     return engine
 
 
+def note_fastpath_fallback(subject: str, unsupported: Exception) -> None:
+    """Make a compiled-engine fallback visible: a fallback is correct
+    but slower, and a phase that silently degrades is invisible in
+    benchmarks."""
+    current_metrics().count("campaign.fastpath_fallback")
+    trace_warning(
+        "campaign.fastpath_fallback",
+        f"compiled engine declined {subject}; measured on the object "
+        "path (identical result, slower)",
+        subject=subject,
+        reason=str(unsupported),
+    )
+
+
+def enumerate_routes(
+    prober: Prober, dst: int, flow_seed: int = 0
+) -> FrozenSet[Route]:
+    """The route set :func:`~repro.probing.mda.enumerate_paths` discovers
+    towards ``dst`` with default parameters (empty if the destination
+    never answered), on the compiled route kernel when eligible.
+
+    Probes, clock, nonce and ``prober.stats`` move exactly as the
+    Prober path moves them; only the per-hop RTTs are never computed.
+    """
+    engine = fast_engine_for(prober)
+    if engine is not None:
+        try:
+            routes, stats = engine.trace_routes(dst, flow_seed, prober.source)
+        except FastPathUnsupported as unsupported:
+            note_fastpath_fallback(
+                f"routes towards {format_address(dst)}", unsupported
+            )
+        else:
+            prober.stats.merge(stats)
+            return routes
+    return frozenset(enumerate_paths(prober, dst, flow_seed=flow_seed).routes)
+
+
 class _DstProgram:
     """A route template specialized to one destination."""
 
     __slots__ = (
-        "slots", "length", "observed_ttl",
+        "dst", "slots", "length", "observed_ttl",
         "density", "stability", "sleep_p", "up_epoch", "allocated", "pod",
     )
 
-    def __init__(self, slots, length, observed_ttl,
+    def __init__(self, dst, slots, length, observed_ttl,
                  density, stability, sleep_p, allocated, pod=None):
+        self.dst = dst
         self.slots = slots
         self.length = length
         self.observed_ttl = observed_ttl
         self.density = density
         self.stability = stability
         self.sleep_p = sleep_p
-        #: Memoized (epoch, up) availability of this destination.
-        self.up_epoch: Optional[Tuple[int, bool]] = None
+        #: Memoized (epoch, up, renumbered) availability of this
+        #: destination.
+        self.up_epoch: Optional[Tuple[int, bool, bool]] = None
         self.allocated = allocated
-        #: The destination's pod — only consulted when a dynamic-event
-        #: schedule is active (outage windows, renumbering keys).
+        #: The destination's pod: outage windows and renumbering keys
+        #: (with a dynamic-event schedule) and the radio tracker.
         self.pod = pod
 
 
 class FastCampaignEngine:
-    """Per-simulator compiled campaign executor. See module docstring."""
+    """Per-simulator compiled probe engine. See module docstring."""
 
     def __init__(self, internet) -> None:
         self.internet = internet
@@ -172,7 +240,11 @@ class FastCampaignEngine:
         self._templates: Dict[int, Optional[Tuple[tuple, bool]]] = {}
         built = internet._built
         self._host_seed = built.host_seed
-        self._loss_base = splitmix64(built.loss_seed & MASK64)
+        self._loss_seed = built.loss_seed
+        #: (first nonce, size, router lost, host lost): the loss
+        #: decisions of a run of consecutive nonces, kept across
+        #: sessions so a continuing probe stream refills once per run.
+        self._loss = (0, 0, [], [])
 
     def valid(self) -> bool:
         forwarder = self.internet.forwarder
@@ -315,7 +387,7 @@ class FastCampaignEngine:
         if allocation is None:
             # The object path's probes to unallocated space consume
             # clock/nonce and time out; no routing needed.
-            return _DstProgram((), 0, 0, 0.0, 0.0, 0.0, False)
+            return _DstProgram(dst, (), 0, 0, 0.0, 0.0, 0.0, False)
         template = self._template_for(dst, local)
         slots: List[tuple] = []
         for slot in template:
@@ -363,27 +435,24 @@ class FastCampaignEngine:
         )
         observed_ttl = max(0, default - max(1, length + delta))
         return _DstProgram(
-            tuple(slots), length, observed_ttl,
+            dst, tuple(slots), length, observed_ttl,
             pod.host_density, pod.host_stability, pod.sleep_probability,
             True, pod,
         )
 
-    # -- measurement ------------------------------------------------------
+    # -- probe sessions ---------------------------------------------------
 
-    def measure(
-        self,
-        policy,
-        slash24,
-        snapshot_active: List[int],
-        rng: random.Random,
-        max_destinations: Optional[int],
-    ) -> Tuple[Slash24Measurement, ProbeStats]:
-        """Measure one /24 — bit-identical to the object path.
+    def _open_session(self):
+        """The per-probe reply step over mirrored simulator state, and
+        the commit that writes that state back.
 
-        The caller must have entered the /24's measurement context
-        (``begin_measurement_context``) and pass the /24's fresh RNG.
-        Raises :class:`FastPathUnsupported` (before mutating any
-        simulator state) when a route template cannot be built.
+        ``send(prog, ttl, flow)`` returns None (timeout), -1 (echo
+        reply) or the responding router's address (TTL-exceeded), and
+        calls the rate limiters, the event schedule and the host
+        availability draw exactly as the object path's reply does.
+        ``commit()`` adds the session's probes, clock, nonce, limiter
+        buckets, radio-tracker updates and wall time to the simulator
+        and returns the session's :class:`ProbeStats`.
         """
         started = time.perf_counter()
         internet = self.internet
@@ -391,7 +460,7 @@ class FastCampaignEngine:
         step = config.probe_clock_step_seconds
         epoch_seconds = config.epoch_seconds
         host_seed = self._host_seed
-        loss_base = self._loss_base
+        loss_seed = self._loss_seed
         p_router = config.router_loss_probability
         p_host = config.host_loss_probability
         host_up = hostmod.host_up_in_epoch
@@ -401,34 +470,38 @@ class FastCampaignEngine:
         #: Dynamic-event schedule (None in the common, event-free case).
         events = internet.events
 
-        result = Slash24Measurement(
-            slash24=slash24, category=Category.TOO_FEW_ACTIVE
-        )
-        stats = ProbeStats()
-        if not meets_selection_criteria(snapshot_active):
-            return result, stats
-
-        flow_seed = rng.randrange(1 << 30)
-        # The RNG is unused after round_robin_order, so materializing
-        # the (lazy) order up front cannot shift any later draw.
-        order = list(round_robin_order(snapshot_active, rng))
-
         clock = internet.clock_seconds
         nonce = internet._nonce
         sent = 0
         answered = 0
         echo_replies = 0
         ttl_exceeded = 0
-        # Local token-bucket mirrors: at context start every simulator
-        # limiter is at its reset state (contexts reset all touched
-        # limiters), so fresh mirrors reproduce `allow` bit for bit
-        # without mutating the shared buckets.
-        limiters: Dict[int, List[float]] = {}
-        local_templates: Dict[int, tuple] = {}
+        #: Limiter → [tokens, last refill time]: mirrors of the live
+        #: token buckets, taken at a limiter's first probe.
+        limiters: Dict[object, list] = {}
+        #: Cellular destination → clock of its latest echo reply.
+        radio: Dict[int, float] = {}
+        loss_first, loss_size, router_lost, host_lost = self._loss
+
+        def refill() -> int:
+            """Point the loss run at the current nonce; returns the
+            nonce's index in it (0)."""
+            nonlocal loss_first, loss_size, router_lost, host_lost
+            # A stream that ran off the end of its run gets a run twice
+            # as long; a jump (a new measurement context) starts short.
+            if loss_first <= nonce < loss_first + 2 * loss_size:
+                size = min(2 * loss_size, _LOSS_RUN_MAX)
+            else:
+                size = _LOSS_RUN_MIN
+            router_lost, host_lost = loss_flags(
+                loss_seed, nonce_run(nonce, size), p_router, p_host
+            )
+            loss_first = nonce
+            loss_size = size
+            self._loss = (nonce, size, router_lost, host_lost)
+            return 0
 
         def send(prog: _DstProgram, ttl: int, flow: int):
-            """One probe. Returns None (timeout), -1 (echo reply) or the
-            responding router's address (TTL-exceeded)."""
             nonlocal clock, nonce, sent, answered, echo_replies, ttl_exceeded
             sent += 1
             nonce += 1
@@ -451,10 +524,10 @@ class FastCampaignEngine:
                 if not responds:
                     return None
                 if limiter is not None:
-                    state = limiters.get(id(limiter))
+                    state = limiters.get(limiter)
                     if state is None:
-                        state = [limiter.capacity, 0.0]
-                        limiters[id(limiter)] = state
+                        state = [limiter._tokens, limiter._last_time]
+                        limiters[limiter] = state
                     tokens = state[0]
                     # Mirror RateLimiter.allow arithmetic-for-arithmetic,
                     # including the storm-scaled capacity/rate and clamp.
@@ -478,11 +551,12 @@ class FastCampaignEngine:
                     else:
                         state[0] = tokens
                         return None
-                if (
-                    p_router > 0.0
-                    and sm(loss_base ^ (nonce & mask)) / _TWO64 < p_router
-                ):
-                    return None
+                if p_router > 0.0:
+                    index = nonce - loss_first
+                    if not 0 <= index < loss_size:
+                        index = refill()
+                    if router_lost[index]:
+                        return None
                 answered += 1
                 ttl_exceeded += 1
                 return address
@@ -492,38 +566,112 @@ class FastCampaignEngine:
             memo = prog.up_epoch
             if memo is not None and memo[0] == epoch:
                 up = memo[1]
+                if memo[2]:
+                    # The object path re-derives the renumbered key on
+                    # every host probe, counting each redirection.
+                    events.counters["renumber"] += 1
             else:
                 # Renumbering keys availability on the subscriber identity
                 # (canonical address), so the memo stays valid per epoch:
                 # the key depends only on (pod, dst, epoch).
-                key = dst
+                key = prog.dst
                 if events is not None:
-                    key = events.availability_key(prog.pod, dst, epoch)
+                    key = events.availability_key(prog.pod, key, epoch)
                 up = host_up(
                     host_seed, key, epoch,
                     prog.density, prog.stability, prog.sleep_p,
                 )
-                prog.up_epoch = (epoch, up)
+                prog.up_epoch = (epoch, up, key != prog.dst)
             if not up:
                 return None
-            if (
-                p_host > 0.0
-                and sm(loss_base ^ (nonce & mask)) / _TWO64 < p_host
-            ):
-                return None
+            if p_host > 0.0:
+                index = nonce - loss_first
+                if not 0 <= index < loss_size:
+                    index = refill()
+                if host_lost[index]:
+                    return None
+            if prog.pod.cellular:
+                radio[prog.dst] = clock
             answered += 1
             echo_replies += 1
             return -1
 
+        def commit() -> ProbeStats:
+            internet.probe_count += sent
+            internet.clock_seconds = clock
+            internet._nonce = nonce
+            touched = internet._touched_limiters
+            for limiter, (tokens, last) in limiters.items():
+                limiter._tokens = tokens
+                limiter._last_time = last
+                touched.add(limiter)
+            if radio:
+                # The tracker only keeps each address's latest probe.
+                internet._radio._last_probe.update(radio)
+            internet.probe_seconds += time.perf_counter() - started
+            return ProbeStats(
+                sent=sent, answered=answered,
+                echo_replies=echo_replies, ttl_exceeded=ttl_exceeded,
+            )
+
+        return send, commit
+
+    # -- last-hop sessions ------------------------------------------------
+
+    def measure(
+        self,
+        policy,
+        slash24,
+        snapshot_active: List[int],
+        rng: random.Random,
+        max_destinations: Optional[int],
+        source: Optional[int] = None,
+    ) -> Tuple[Slash24Measurement, ProbeStats]:
+        """Measure one /24 — bit-identical to the object path.
+
+        Valid at any point of a probe stream; ``rng`` is the caller's
+        RNG, drawn from exactly as the object path draws (the
+        destination order is consumed lazily). Raises
+        :class:`FastPathUnsupported` when a route template cannot be
+        built, with the simulator untouched and ``rng`` restored.
+        """
+        result = Slash24Measurement(
+            slash24=slash24, category=Category.TOO_FEW_ACTIVE
+        )
+        if not meets_selection_criteria(snapshot_active):
+            return result, ProbeStats()
+        internet = self.internet
+        events = internet.events
+        rng_state = rng.getstate()
+        counters = dict(events.counters) if events is not None else None
+        send, commit = self._open_session()
+        try:
+            self._measure(
+                send, result, policy, snapshot_active, rng,
+                max_destinations,
+                internet.vantage_address if source is None else source,
+            )
+        except FastPathUnsupported:
+            rng.setstate(rng_state)
+            if counters is not None:
+                events.counters.clear()
+                events.counters.update(counters)
+            raise
+        return result, commit()
+
+    def _measure(
+        self, send, result, policy, snapshot_active, rng, max_destinations,
+        src,
+    ) -> None:
         observations: Dict[int, frozenset] = {}
         state = TerminationState()
         policy_kind = type(policy)
         is_termination = policy_kind is TerminationPolicy
         is_closing_policy = policy_kind in (ReprobePolicy, ExhaustivePolicy)
-        src = internet.vantage_address
-        stopped = False
+        local_templates: Dict[int, tuple] = {}
 
-        for index, dst in enumerate(order):
+        flow_seed = rng.randrange(1 << 30)
+        for index, dst in enumerate(round_robin_order(snapshot_active, rng)):
             if max_destinations is not None and index >= max_destinations:
                 break
             prog = self._program_for(dst, src, local_templates)
@@ -605,39 +753,73 @@ class FastCampaignEngine:
             result.destinations_probed = len(observations)
             reason = policy.should_stop_state(state)
             if reason is not None:
-                stopped = True
                 result.observations = observations
                 result.stop_reason = reason
                 result.category = closing_category_from_state(state)
-                break
-        if not stopped:
-            # Ran out of destinations (or hit the destination cap)
-            # before the policy was satisfied — the object path's tail
-            # classification, on incremental aggregates.
-            result.observations = observations
-            result.destinations_probed = len(observations)
-            if result.hosts_responsive < 4:
-                result.category = Category.TOO_FEW_ACTIVE
-            elif not observations:
-                result.category = Category.UNRESPONSIVE_LASTHOP
-            elif is_closing_policy:
-                result.category = closing_category_from_state(state)
-            elif (
-                is_termination
-                and policy.required_probes_state(state) is None
-            ):
-                result.category = closing_category_from_state(state)
-            else:
-                result.category = Category.TOO_FEW_ACTIVE
+                return
+        # Ran out of destinations (or hit the destination cap) before
+        # the policy was satisfied — the object path's tail
+        # classification, on incremental aggregates.
+        result.observations = observations
+        result.destinations_probed = len(observations)
+        if result.hosts_responsive < 4:
+            result.category = Category.TOO_FEW_ACTIVE
+        elif not observations:
+            result.category = Category.UNRESPONSIVE_LASTHOP
+        elif is_closing_policy:
+            result.category = closing_category_from_state(state)
+        elif is_termination and policy.required_probes_state(state) is None:
+            result.category = closing_category_from_state(state)
+        else:
+            result.category = Category.TOO_FEW_ACTIVE
 
-        # Commit the mirrored simulator state (the object path mutated
-        # it probe by probe; end-of-/24 totals are identical).
-        internet.probe_count += sent
-        internet.clock_seconds = clock
-        internet._nonce = nonce
-        internet.probe_seconds += time.perf_counter() - started
-        stats.sent = sent
-        stats.answered = answered
-        stats.echo_replies = echo_replies
-        stats.ttl_exceeded = ttl_exceeded
-        return result, stats
+    # -- route kernel -----------------------------------------------------
+
+    def trace_routes(
+        self,
+        dst: int,
+        flow_seed: int = 0,
+        source: Optional[int] = None,
+    ) -> Tuple[FrozenSet[Route], ProbeStats]:
+        """Replay :func:`~repro.probing.mda.enumerate_paths` towards
+        ``dst`` (default confidence, TTLs 1..32, three attempts per
+        TTL, at most 64 flows) and return its route set — empty if no
+        trace reached ``dst`` — with the session's probe accounting.
+
+        Each flow's per-flow slot choices are resolved once per trace;
+        no reply objects or RTTs are built. Raises
+        :class:`FastPathUnsupported` before sending any probe when the
+        route template cannot be built.
+        """
+        internet = self.internet
+        src = internet.vantage_address if source is None else source
+        prog = self._program_for(dst, src, {})
+        send, commit = self._open_session()
+        sm = splitmix64
+        base = prog.slots
+        routes: set = set()
+        flows_tried = 0
+        while flows_tried < min(
+            probes_required(max(len(routes), 1), DEFAULT_CONFIDENCE),
+            _MAX_FLOWS,
+        ):
+            flow = flow_seed + flows_tried
+            flows_tried += 1
+            prog.slots = tuple(
+                (_FIXED, slot[3][sm(slot[1] ^ flow) % slot[2]])
+                if slot[0] == _BY_FLOW else slot
+                for slot in base
+            )
+            hops: List[Optional[int]] = []
+            for ttl in range(1, _MAX_TTL + 1):
+                # paris_traceroute: up to three attempts per TTL.
+                reply = send(prog, ttl, flow)
+                if reply is None:
+                    reply = send(prog, ttl, flow)
+                    if reply is None:
+                        reply = send(prog, ttl, flow)
+                if reply == -1:
+                    routes.add(tuple(hops))
+                    break
+                hops.append(reply)
+        return frozenset(routes), commit()

@@ -49,7 +49,6 @@ from ..util.hashing import mix, stable_string_hash
 from .classifier import Category, Slash24Measurement, measure_slash24
 from .columnar import ColumnarCampaignResult, result_format_name
 from .confidence import ConfidenceTable
-from .fastengine import FastPathUnsupported, fast_engine_for
 from .termination import ReprobePolicy, TerminationPolicy
 
 
@@ -205,38 +204,13 @@ def _measure_in_context(
         clock_seconds=clock_base,
         nonce=slash24_nonce(campaign_seed, slash24),
     )
-    engine = fast_engine_for(internet, policy, max_probes)
-    if engine is not None:
-        rng = random.Random(slash24_seed(campaign_seed, slash24))
-        try:
-            return engine.measure(
-                policy, slash24, snapshot_active, rng, max_destinations
-            )
-        except FastPathUnsupported as unsupported:
-            # The engine touched no simulator state; re-pin the context
-            # and let the object path measure this /24 from scratch.
-            # Loudly: a fallback is correct but slower, and a campaign
-            # that silently degrades per-/24 is invisible in benchmarks.
-            current_metrics().count("campaign.fastpath_fallback")
-            trace_warning(
-                "campaign.fastpath_fallback",
-                f"compiled engine declined {slash24}; measured on the "
-                "object path (identical result, slower)",
-                prefix=str(slash24),
-                reason=str(unsupported),
-            )
-            internet.begin_measurement_context(
-                clock_seconds=clock_base,
-                nonce=slash24_nonce(campaign_seed, slash24),
-            )
     prober = Prober(internet, max_probes=max_probes)
-    rng = random.Random(slash24_seed(campaign_seed, slash24))
     measurement = measure_slash24(
         prober,
         slash24,
         snapshot_active,
         policy,
-        rng,
+        random.Random(slash24_seed(campaign_seed, slash24)),
         max_destinations=max_destinations,
     )
     return measurement, prober.stats

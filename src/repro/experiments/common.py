@@ -36,6 +36,7 @@ from ..core import (
     measure_slash24,
     run_campaign,
 )
+from ..core.fastengine import enumerate_routes
 from ..core.heterogeneity import SubBlockAnalysis, analyze_sub_blocks
 from ..net.prefix import Prefix
 from ..netsim import (
@@ -47,7 +48,7 @@ from ..netsim import (
 )
 from ..obs.metrics import current_metrics
 from ..obs.trace import span
-from ..probing import ActivitySnapshot, Prober, enumerate_paths, scan
+from ..probing import ActivitySnapshot, Prober, scan
 from ..probing.traceroute import Route
 from ..util.envknobs import event_intensity_env
 from ..util.hashing import mix, stable_string_hash
@@ -552,9 +553,11 @@ class Workspace:
                 actives = actives[: self.profile.path_dataset_max_addresses]
                 per_dst: Dict[int, FrozenSet[Route]] = {}
                 for dst in actives:
-                    mp = enumerate_paths(prober, dst, flow_seed=dst & 0xFFFF)
-                    if mp.reached and mp.routes:
-                        per_dst[dst] = frozenset(mp.routes)
+                    routes = enumerate_routes(
+                        prober, dst, flow_seed=dst & 0xFFFF
+                    )
+                    if routes:
+                        per_dst[dst] = routes
                 if len(per_dst) >= 4:
                     dataset[slash24] = per_dst
             from ..store.codec import canonical_dataset_order

@@ -14,8 +14,9 @@ import random
 from typing import FrozenSet, List
 
 from ..analysis.pathmetrics import lasthop_of_route
+from ..core.fastengine import enumerate_routes
 from ..core.selection import one_per_slash26, slash31_pair
-from ..probing import Prober, enumerate_paths
+from ..probing import Prober
 from ..probing.traceroute import route_sets_share_route
 from ..util.tables import format_percent
 from .common import ExperimentResult, Workspace
@@ -42,9 +43,9 @@ def run(workspace: Workspace) -> ExperimentResult:
         destinations = one_per_slash26(snapshot.active_in(slash24), rng)
         route_sets: List[FrozenSet] = []
         for dst in destinations:
-            mp = enumerate_paths(prober, dst, flow_seed=dst & 0xFFF)
-            if mp.reached and mp.routes:
-                route_sets.append(frozenset(mp.routes))
+            routes = enumerate_routes(prober, dst, flow_seed=dst & 0xFFF)
+            if routes:
+                route_sets.append(routes)
         if len(route_sets) < 4:
             continue
         comparable += 1
@@ -63,9 +64,9 @@ def run(workspace: Workspace) -> ExperimentResult:
             continue
         sets = []
         for dst in pair:
-            mp = enumerate_paths(prober, dst, flow_seed=dst & 0xFFF)
-            if mp.reached and mp.routes:
-                sets.append(frozenset(mp.routes))
+            routes = enumerate_routes(prober, dst, flow_seed=dst & 0xFFF)
+            if routes:
+                sets.append(routes)
         if len(sets) != 2:
             continue
         pairs_compared += 1

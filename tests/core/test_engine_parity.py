@@ -7,14 +7,25 @@ correctness claim is that it is *bit-identical* to that reference, so a
 whole campaign — measurements, canonical store records, probe
 accounting, simulator end state — must not differ in a single byte
 between the two engines.
+
+The workspace suites extend the claim to every probe-heavy phase run on
+the compiled probe engine (``core.fastengine``), against the reference
+engine and against ``REPRO_CAMPAIGN_ENGINE=object`` with dynamic
+events, including a session the compiled engine declines mid-/24.
 """
+
+import contextlib
+import copy
+import dataclasses
+import os
+import random
 
 import pytest
 
 from repro.core import TerminationPolicy, run_campaign
-from repro.core.fastengine import CAMPAIGN_ENGINE_ENV
+from repro.core.fastengine import CAMPAIGN_ENGINE_ENV, FastPathUnsupported
 from repro.net.prefix import Prefix
-from repro.netsim import SimulatedInternet, tiny_scenario
+from repro.netsim import EventConfig, SimulatedInternet, tiny_scenario
 from repro.netsim.routing import (
     REFERENCE_ENGINE_ENV,
     reference_engine_enabled,
@@ -33,8 +44,6 @@ class _EngineRun:
     """One full campaign under one engine, store records included."""
 
     def __init__(self, reference: bool, store_root):
-        import os
-
         previous = os.environ.get(REFERENCE_ENGINE_ENV)
         previous_campaign = os.environ.get(CAMPAIGN_ENGINE_ENV)
         # This suite exercises the compiled *forwarding* plane against
@@ -162,8 +171,6 @@ class TestGoldenParity:
         """A store written by the reference engine satisfies a
         compiled-engine rerun without a single probe — the fingerprints
         embed no engine identity, so caches are interchangeable."""
-        import os
-
         root = tmp_path_factory.mktemp("cross-store") / "s"
         with MeasurementStore(root) as store:
             for document in reference_run.records.values():
@@ -187,66 +194,139 @@ class TestGoldenParity:
         assert result.measurements == reference_run.result.measurements
 
 
+@contextlib.contextmanager
+def _env(values):
+    """Set (str) or unset (None) environment variables for the block."""
+    previous = {name: os.environ.get(name) for name in values}
+    try:
+        for name, value in values.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        yield
+    finally:
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _transient_state(internet):
+    """Probe-side simulator state: counters, clock, nonce, every touched
+    rate-limiter bucket (by router address) and the radio tracker."""
+    owners = {
+        id(router.rate_limiter): router.address
+        for router in internet.topology._routers
+        if router.rate_limiter is not None
+    }
+    return (
+        internet.probe_count,
+        internet.clock_seconds,
+        internet._nonce,
+        sorted(
+            (owners[id(limiter)], limiter._tokens, limiter._last_time)
+            for limiter in internet._touched_limiters
+        ),
+        sorted(internet._radio._last_probe.items()),
+    )
+
+
 class _WorkspaceRun:
     """Every probe-heavy workspace artifact on the tiny profile, built
     under one engine: confidence dataset, aggregation with reprobe,
-    path dataset and strict-het, plus the simulator's end state."""
+    path dataset and strict-het, plus the simulator's transient state
+    just before every measurement-context switch and at the end."""
 
-    def __init__(self, reference: bool):
-        import os
-
+    def __init__(self, env, event_intensity=0.0):
         from repro.experiments.common import PROFILES, Workspace
 
-        previous = os.environ.get(REFERENCE_ENGINE_ENV)
-        if reference:
-            os.environ[REFERENCE_ENGINE_ENV] = "1"
-        else:
-            os.environ.pop(REFERENCE_ENGINE_ENV, None)
-        try:
+        with _env(env):
             workspace = Workspace(
                 PROFILES["tiny"], workers=1, store_path=None,
-                event_intensity=0.0,
+                event_intensity=event_intensity,
             )
-            assert workspace.internet._reference == reference
+            internet = workspace.internet
+            self.context_states = []
+            begin = internet.begin_measurement_context
+
+            def recording_begin(clock_seconds, nonce):
+                self.context_states.append(_transient_state(internet))
+                begin(clock_seconds, nonce)
+
+            internet.begin_measurement_context = recording_begin
             workspace.ensure_built()
-        finally:
-            if previous is None:
-                os.environ.pop(REFERENCE_ENGINE_ENV, None)
-            else:
-                os.environ[REFERENCE_ENGINE_ENV] = previous
-        internet = workspace.internet
         self.workspace = workspace
         self.probe_count = internet.probe_count
         self.clock_seconds = internet.clock_seconds
         self.nonce = internet._nonce
+        self.end_state = _transient_state(internet)
         self.stats = internet.stats()
+        self.fast_engine = getattr(internet, "_fast_engine", None)
+        self.event_counters = (
+            dict(internet.events.counters)
+            if internet.events is not None else None
+        )
 
 
 @pytest.fixture(scope="module")
 def workspace_runs():
-    return _WorkspaceRun(True), _WorkspaceRun(False)
+    """(reference oracle, production) on the static tiny world."""
+    return (
+        _WorkspaceRun({REFERENCE_ENGINE_ENV: "1"}),
+        _WorkspaceRun({REFERENCE_ENGINE_ENV: None, CAMPAIGN_ENGINE_ENV: None}),
+    )
+
+
+@pytest.fixture(scope="module")
+def event_workspace_runs():
+    """(object engine, compiled engine) with every stressor active."""
+    return (
+        _WorkspaceRun(
+            {REFERENCE_ENGINE_ENV: None, CAMPAIGN_ENGINE_ENV: "object"},
+            event_intensity=0.6,
+        ),
+        _WorkspaceRun(
+            {REFERENCE_ENGINE_ENV: None, CAMPAIGN_ENGINE_ENV: None},
+            event_intensity=0.6,
+        ),
+    )
 
 
 class TestWorkspaceParity:
-    """The scalar probe path (Paris traceroute/MDA, exhaustive and
-    reprobe sessions) must match the reference oracle on every artifact
-    it feeds, not only on the campaign."""
+    """Every workspace phase (exhaustive and reprobe sessions, the
+    Paris-MDA path dataset, strict-het) must match the oracle on every
+    artifact it feeds and on the probe-side state it leaves, not only
+    on the campaign."""
 
-    def test_engines_differ_in_draw_source(self, workspace_runs):
-        reference, production = workspace_runs
-        assert reference.stats["draw_block_fills"] == 0
-        assert production.stats["draw_block_fills"] > 0
+    @pytest.fixture
+    def runs(self, workspace_runs):
+        return workspace_runs
 
-    def test_confidence_dataset_identical(self, workspace_runs):
-        reference, production = workspace_runs
+    def test_engines_differ_in_draw_source(self, runs):
+        """The oracle never touches the compiled engine; production
+        sends every workspace probe through it — no forwarder lookup,
+        no batched probe, no nonce block on the object probe path."""
+        oracle, production = runs
+        assert oracle.fast_engine is None
+        assert production.fast_engine is not None
+        assert production.probe_count == oracle.probe_count > 0
+        assert production.stats["forwarder_cache_hits"] == 0
+        assert production.stats["forwarder_cache_misses"] == 0
+        assert production.stats["batched_probes"] == 0
+        assert production.stats["draw_block_fills"] == 0
+
+    def test_confidence_dataset_identical(self, runs):
+        reference, production = runs
         slow = reference.workspace.confidence_dataset
         fast = production.workspace.confidence_dataset
         assert slow
         assert list(fast) == list(slow)
         assert fast == slow
 
-    def test_aggregation_with_reprobe_identical(self, workspace_runs):
-        reference, production = workspace_runs
+    def test_aggregation_with_reprobe_identical(self, runs):
+        reference, production = runs
         slow = reference.workspace.aggregation
         fast = production.workspace.aggregation
         assert slow.reprobe_probes_used > 0
@@ -256,23 +336,220 @@ class TestWorkspaceParity:
         assert fast.rule_matches == slow.rule_matches
         assert fast.final_blocks == slow.final_blocks
 
-    def test_path_dataset_identical(self, workspace_runs):
-        reference, production = workspace_runs
+    def test_path_dataset_identical(self, runs):
+        reference, production = runs
         slow = reference.workspace.path_dataset
         fast = production.workspace.path_dataset
         assert slow
         assert list(fast) == list(slow)
         assert fast == slow
 
-    def test_strict_het_identical(self, workspace_runs):
-        reference, production = workspace_runs
+    def test_strict_het_identical(self, runs):
+        reference, production = runs
         slow = reference.workspace.strict_het_analyses
         fast = production.workspace.strict_het_analyses
         assert list(fast) == list(slow)
         assert fast == slow
 
-    def test_simulator_end_state_identical(self, workspace_runs):
-        reference, production = workspace_runs
+    def test_simulator_end_state_identical(self, runs):
+        reference, production = runs
         assert production.probe_count == reference.probe_count
         assert production.clock_seconds == reference.clock_seconds
         assert production.nonce == reference.nonce
+        assert production.end_state == reference.end_state
+
+    def test_state_at_every_context_switch_identical(self, runs):
+        """Limiter buckets and the radio tracker as each phase (and
+        each campaign /24) hands over: the compiled engine commits what
+        the object path mutated probe by probe."""
+        reference, production = runs
+        assert len(production.context_states) == len(
+            reference.context_states
+        )
+        assert any(state[3] for state in reference.context_states)
+        for fast, slow in zip(
+            production.context_states, reference.context_states
+        ):
+            assert fast == slow
+
+    def test_event_counters_identical(self, runs):
+        reference, production = runs
+        assert production.event_counters == reference.event_counters
+
+
+class TestEventWorkspaceParity(TestWorkspaceParity):
+    """The same contract against ``REPRO_CAMPAIGN_ENGINE=object`` with
+    renumbering waves, routing shifts, outages and rate-limit storms
+    all firing."""
+
+    @pytest.fixture
+    def runs(self, event_workspace_runs):
+        return event_workspace_runs
+
+    def test_every_stressor_fired(self, runs):
+        for run in runs:
+            for name in ("renumber", "reroute", "outage", "storm"):
+                assert run.event_counters[name] > 0, name
+
+
+class TestMidContextFallback:
+    """A compiled session that declines a /24 part-way through, in the
+    middle of a probe stream shared with other /24s, must leave nothing
+    behind: the object path then continues from the same point."""
+
+    #: The compiled engine declines at this destination of the /24.
+    DECLINE_AT = 3
+
+    @pytest.fixture
+    def decline(self, monkeypatch):
+        """Arm with ``decline.at = k`` to make the compiled engine
+        refuse the k-th destination it is asked to program from then
+        on; every destination programmed while armed is recorded."""
+        from repro.core.fastengine import FastCampaignEngine
+
+        monkeypatch.delenv(CAMPAIGN_ENGINE_ENV, raising=False)
+        program_for = FastCampaignEngine._program_for
+
+        class Decline:
+            at = None
+            calls = []
+
+        def declining(engine, dst, src, local):
+            if Decline.at is not None:
+                Decline.calls.append(dst)
+                if len(Decline.calls) >= Decline.at:
+                    raise FastPathUnsupported("declined by the test")
+            return program_for(engine, dst, src, local)
+
+        monkeypatch.setattr(FastCampaignEngine, "_program_for", declining)
+        return Decline
+
+    def _world(self, events=0.0):
+        config = tiny_scenario(seed=SCENARIO_SEED)
+        if events:
+            config = dataclasses.replace(
+                config, events=EventConfig.at_intensity(events)
+            )
+        internet = SimulatedInternet.from_config(config)
+        snapshot = scan(internet)
+        eligible = snapshot.eligible_slash24s()
+        return internet, snapshot, eligible[:3], eligible[3]
+
+    def _state(self, internet, rng):
+        return rng.getstate(), _transient_state(internet), [
+            (router.rate_limiter._tokens, router.rate_limiter._last_time)
+            for router in internet.topology._routers
+            if router.rate_limiter is not None
+        ], internet.events and dict(internet.events.counters)
+
+    def _run(self, events, decline=None):
+        """Three warm-up /24s on one shared RNG and Prober, then the
+        target /24 (declined at its DECLINE_AT-th destination when
+        ``decline`` is given), then one more /24."""
+        from repro.core import ExhaustivePolicy, measure_slash24
+        from repro.obs.metrics import metrics_scope
+        from repro.probing import Prober
+
+        internet, snapshot, warmup, target = self._world(events)
+        rng = random.Random(2024)
+        prober = Prober(internet)
+        policy = ExhaustivePolicy()
+
+        def measure(slash24):
+            return measure_slash24(
+                prober, slash24, snapshot.active_in(slash24), policy, rng
+            )
+
+        measurements = [measure(slash24) for slash24 in warmup]
+        if decline is not None:
+            decline.at = self.DECLINE_AT
+        with metrics_scope() as registry:
+            measurements.append(measure(target))
+        if decline is not None:
+            decline.at = None
+        measurements.append(measure(warmup[0]))
+        return (
+            measurements, prober.stats, self._state(internet, rng),
+            registry.counter_value("campaign.fastpath_fallback"),
+        )
+
+    @pytest.mark.parametrize("events", [0.0, 0.6])
+    def test_declined_session_changes_nothing(self, decline, events):
+        from repro.core import ExhaustivePolicy, measure_slash24
+        from repro.core.fastengine import fast_engine_for
+        from repro.probing import Prober
+
+        internet, snapshot, warmup, target = self._world(events)
+        rng = random.Random(2024)
+        prober = Prober(internet)
+        policy = ExhaustivePolicy()
+        for slash24 in warmup:
+            measure_slash24(
+                prober, slash24, snapshot.active_in(slash24), policy, rng
+            )
+        engine = fast_engine_for(prober, policy)
+        assert engine is not None
+        before = self._state(internet, rng)
+        # Mid-stream: buckets carry tokens spent by the warm-up /24s.
+        assert before[1][3]
+        assert internet.probe_count > 0
+        decline.at = self.DECLINE_AT
+        with pytest.raises(FastPathUnsupported):
+            engine.measure(
+                policy, target, snapshot.active_in(target), rng, None
+            )
+        assert len(decline.calls) == self.DECLINE_AT
+        assert self._state(internet, rng) == before
+        if events:
+            # Left alone, the destinations before the decline point
+            # fire stressors: the restored counters were really moved.
+            decline.at = None
+            twin, twin_rng = copy.deepcopy((internet, rng))
+            fast_engine_for(Prober(twin), policy).measure(
+                policy, target, snapshot.active_in(target), twin_rng,
+                self.DECLINE_AT - 1,
+            )
+            assert twin.events.counters != before[3]
+
+    @pytest.mark.parametrize("events", [0.0, 0.6])
+    def test_fallback_continues_like_the_object_path(
+        self, decline, monkeypatch, events
+    ):
+        compiled = self._run(events, decline)
+        assert len(decline.calls) == self.DECLINE_AT
+        assert compiled[3] == 1
+        monkeypatch.setenv(CAMPAIGN_ENGINE_ENV, "object")
+        oracle = self._run(events)
+        assert oracle[3] == 0
+        assert compiled[:3] == oracle[:3]
+
+    def test_route_kernel_fallback_matches_enumerate_paths(self, decline):
+        from repro.core.fastengine import enumerate_routes
+        from repro.obs.metrics import metrics_scope
+        from repro.probing import Prober
+        from repro.probing.mda import enumerate_paths
+
+        def trace(compiled):
+            internet, snapshot, warmup, _ = self._world()
+            prober = Prober(internet)
+            routes = []
+            dsts = [
+                dst for slash24 in warmup
+                for dst in snapshot.active_in(slash24)[:2]
+            ]
+            for dst in dsts:
+                if compiled:
+                    routes.append(enumerate_routes(prober, dst, dst))
+                else:
+                    result = enumerate_paths(prober, dst, flow_seed=dst)
+                    routes.append(frozenset(result.routes))
+            return routes, prober.stats, _transient_state(internet)
+
+        oracle = trace(compiled=False)
+        assert any(oracle[0])
+        assert trace(compiled=True) == oracle
+        decline.at = 1
+        with metrics_scope() as registry:
+            assert trace(compiled=True) == oracle
+        assert len(decline.calls) == 6
+        assert registry.counter_value("campaign.fastpath_fallback") == 6
