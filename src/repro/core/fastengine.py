@@ -57,7 +57,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..net.addr import format_address
 from ..netsim import hosts as hostmod
-from ..netsim.draws import loss_flags, nonce_run
 from ..netsim.loadbalance import (
     HybridBalancer,
     PerDestinationBalancer,
@@ -94,10 +93,8 @@ CAMPAIGN_ENGINE_ENV = "REPRO_CAMPAIGN_ENGINE"
 
 #: ``enumerate_paths``' default cap on flows per destination.
 _MAX_FLOWS = 64
-#: Nonces per loss run: the first after a jump, and the cap on the
-#: doubling of a continuing stream's runs.
-_LOSS_RUN_MIN = 64
-_LOSS_RUN_MAX = 4096
+
+_TWO64 = float(1 << 64)
 
 # Slot kinds after per-destination specialization.
 _FIXED = 0     # (0, (responds, limiter, address))
@@ -126,20 +123,13 @@ def campaign_engine_name() -> str:
     return "columnar"
 
 
-def fast_engine_for(
-    prober: Prober, policy=None
-) -> Optional["FastCampaignEngine"]:
-    """The compiled engine for this probe session if eligible, else None.
-
-    ``policy`` is the termination policy of a last-hop session; leave
-    it None to ask for the route kernel. Eligibility is deliberately
-    narrow: a plain :class:`Prober` (subclasses may override ``probe``),
-    no probe budget (budget accounting must raise mid-/24 at the exact
-    probe, which only the Prober path does), the exact policy types the
-    engine replicates (subclasses may override hooks the engine
-    inlines), and a compiled forwarding plane
-    (``REPRO_REFERENCE_ENGINE=1`` pins the reference everything).
-    """
+def _compiled_engine(prober: Prober) -> Optional["FastCampaignEngine"]:
+    """The simulator's compiled engine if ``prober`` may use it, else
+    None: a plain :class:`Prober` (subclasses may override ``probe``),
+    no probe budget (budget accounting must raise at the exact probe,
+    which only the Prober path does), the columnar campaign engine and a
+    compiled forwarding plane (``REPRO_REFERENCE_ENGINE=1`` pins the
+    reference everything)."""
     if type(prober) is not Prober or prober.max_probes is not None:
         return None
     if campaign_engine_name() == "object":
@@ -147,19 +137,28 @@ def fast_engine_for(
     internet = prober.internet
     if internet._reference or not internet.forwarder.compiled_enabled:
         return None
-    if policy is not None:
-        kind = type(policy)
-        if kind is TerminationPolicy:
-            table = policy.confidence_table
-            if table is not None and type(table) is not ConfidenceTable:
-                return None
-        elif kind not in (ReprobePolicy, ExhaustivePolicy):
-            return None
     engine = getattr(internet, "_fast_engine", None)
     if engine is None or not engine.valid():
         engine = FastCampaignEngine(internet)
         internet._fast_engine = engine
     return engine
+
+
+def fast_engine_for(
+    prober: Prober, policy
+) -> Optional["FastCampaignEngine"]:
+    """The compiled engine for a last-hop session under ``policy`` if
+    eligible, else None. Besides the prober checks, only the exact
+    policy types the engine replicates qualify (subclasses may override
+    hooks the engine inlines)."""
+    kind = type(policy)
+    if kind is TerminationPolicy:
+        table = policy.confidence_table
+        if table is not None and type(table) is not ConfidenceTable:
+            return None
+    elif kind not in (ReprobePolicy, ExhaustivePolicy):
+        return None
+    return _compiled_engine(prober)
 
 
 def note_fastpath_fallback(subject: str, unsupported: Exception) -> None:
@@ -186,7 +185,7 @@ def enumerate_routes(
     Probes, clock, nonce and ``prober.stats`` move exactly as the
     Prober path moves them; only the per-hop RTTs are never computed.
     """
-    engine = fast_engine_for(prober)
+    engine = _compiled_engine(prober)
     if engine is not None:
         try:
             routes, stats = engine.trace_routes(dst, flow_seed, prober.source)
@@ -240,11 +239,7 @@ class FastCampaignEngine:
         self._templates: Dict[int, Optional[Tuple[tuple, bool]]] = {}
         built = internet._built
         self._host_seed = built.host_seed
-        self._loss_seed = built.loss_seed
-        #: (first nonce, size, router lost, host lost): the loss
-        #: decisions of a run of consecutive nonces, kept across
-        #: sessions so a continuing probe stream refills once per run.
-        self._loss = (0, 0, [], [])
+        self._loss_base = splitmix64(built.loss_seed & MASK64)
 
     def valid(self) -> bool:
         forwarder = self.internet.forwarder
@@ -460,7 +455,7 @@ class FastCampaignEngine:
         step = config.probe_clock_step_seconds
         epoch_seconds = config.epoch_seconds
         host_seed = self._host_seed
-        loss_seed = self._loss_seed
+        loss_base = self._loss_base
         p_router = config.router_loss_probability
         p_host = config.host_loss_probability
         host_up = hostmod.host_up_in_epoch
@@ -481,25 +476,6 @@ class FastCampaignEngine:
         limiters: Dict[object, list] = {}
         #: Cellular destination → clock of its latest echo reply.
         radio: Dict[int, float] = {}
-        loss_first, loss_size, router_lost, host_lost = self._loss
-
-        def refill() -> int:
-            """Point the loss run at the current nonce; returns the
-            nonce's index in it (0)."""
-            nonlocal loss_first, loss_size, router_lost, host_lost
-            # A stream that ran off the end of its run gets a run twice
-            # as long; a jump (a new measurement context) starts short.
-            if loss_first <= nonce < loss_first + 2 * loss_size:
-                size = min(2 * loss_size, _LOSS_RUN_MAX)
-            else:
-                size = _LOSS_RUN_MIN
-            router_lost, host_lost = loss_flags(
-                loss_seed, nonce_run(nonce, size), p_router, p_host
-            )
-            loss_first = nonce
-            loss_size = size
-            self._loss = (nonce, size, router_lost, host_lost)
-            return 0
 
         def send(prog: _DstProgram, ttl: int, flow: int):
             nonlocal clock, nonce, sent, answered, echo_replies, ttl_exceeded
@@ -551,12 +527,11 @@ class FastCampaignEngine:
                     else:
                         state[0] = tokens
                         return None
-                if p_router > 0.0:
-                    index = nonce - loss_first
-                    if not 0 <= index < loss_size:
-                        index = refill()
-                    if router_lost[index]:
-                        return None
+                if (
+                    p_router > 0.0
+                    and sm(loss_base ^ (nonce & mask)) / _TWO64 < p_router
+                ):
+                    return None
                 answered += 1
                 ttl_exceeded += 1
                 return address
@@ -584,12 +559,11 @@ class FastCampaignEngine:
                 prog.up_epoch = (epoch, up, key != prog.dst)
             if not up:
                 return None
-            if p_host > 0.0:
-                index = nonce - loss_first
-                if not 0 <= index < loss_size:
-                    index = refill()
-                if host_lost[index]:
-                    return None
+            if (
+                p_host > 0.0
+                and sm(loss_base ^ (nonce & mask)) / _TWO64 < p_host
+            ):
+                return None
             if prog.pod.cellular:
                 radio[prog.dst] = clock
             answered += 1

@@ -171,10 +171,15 @@ class BlockDraws(ScalarDraws):
         self.fills += 1
         self.drawn += size
         self._reached += self.high
-        nonces = nonce_run(first, size)
-        self.router_lost, self.host_lost = loss_flags(
-            self._loss_seed, nonces, self._router_loss, self._host_loss
-        )
+        with np.errstate(over="ignore"):
+            nonces = np.arange(size, dtype=np.uint64) + np.uint64(
+                first & MASK64
+            )
+        # Router and host loss draw the same (seed, nonce) hash against
+        # different probabilities (see stochastic_loss): hash once.
+        loss = unit_np(mix_np(self._loss_seed, nonces))
+        self.router_lost = (loss < self._router_loss).tolist()
+        self.host_lost = (loss < self._host_loss).tolist()
         self.jitter, self.spike_flags, self.spike_ms = rtt_draws_for_nonces(
             self._rtt_seed, nonces
         )
@@ -246,24 +251,6 @@ class BlockDraws(ScalarDraws):
                 if self.drawn else 0.0
             ),
         }
-
-
-def nonce_run(first: int, size: int) -> np.ndarray:
-    """The nonces ``first .. first + size - 1`` as uint64, wrapping
-    modulo 2**64 as the scalar hashes do."""
-    with np.errstate(over="ignore"):
-        return np.arange(size, dtype=np.uint64) + np.uint64(first & MASK64)
-
-
-def loss_flags(
-    loss_seed: int, nonces: np.ndarray, router_loss: float, host_loss: float
-) -> Tuple[List[bool], List[bool]]:
-    """Per-nonce ``(router reply lost, host reply lost)`` decisions,
-    bitwise those of :func:`~.icmp.stochastic_loss`. Router and host
-    loss draw the same (seed, nonce) hash against different
-    probabilities, so it is hashed once."""
-    loss = unit_np(mix_np(loss_seed, nonces))
-    return (loss < router_loss).tolist(), (loss < host_loss).tolist()
 
 
 def _remember(memo: dict, key, value):

@@ -280,6 +280,16 @@ def workspace_runs():
 
 
 @pytest.fixture(scope="module")
+def object_workspace_run():
+    """The object path (Prober over nonce blocks) on the static tiny
+    world: what budgeted Probers and ``REPRO_CAMPAIGN_ENGINE=object``
+    run."""
+    return _WorkspaceRun(
+        {REFERENCE_ENGINE_ENV: None, CAMPAIGN_ENGINE_ENV: "object"}
+    )
+
+
+@pytest.fixture(scope="module")
 def event_workspace_runs():
     """(object engine, compiled engine) with every stressor active."""
     return (
@@ -375,6 +385,29 @@ class TestWorkspaceParity:
     def test_event_counters_identical(self, runs):
         reference, production = runs
         assert production.event_counters == reference.event_counters
+
+
+class TestObjectWorkspaceParity(TestWorkspaceParity):
+    """The object path against the reference on the same artifacts and
+    state: the nonce-block draws and the Prober walk the compiled engine
+    falls back to stay an exact oracle."""
+
+    @pytest.fixture
+    def runs(self, workspace_runs, object_workspace_run):
+        return workspace_runs[0], object_workspace_run
+
+    def test_engines_differ_in_draw_source(self, runs):
+        """Neither run touches the compiled engine; the object run draws
+        from nonce blocks through the compiled forwarder, the reference
+        from scalar hashes through the trie walk."""
+        reference, object_run = runs
+        assert reference.fast_engine is None
+        assert object_run.fast_engine is None
+        assert object_run.probe_count == reference.probe_count > 0
+        assert object_run.stats["draw_block_fills"] > 0
+        assert reference.stats["draw_block_fills"] == 0
+        assert object_run.stats["batched_probes"] > 0
+        assert reference.stats["batched_probes"] == 0
 
 
 class TestEventWorkspaceParity(TestWorkspaceParity):
